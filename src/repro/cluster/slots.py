@@ -30,6 +30,7 @@ on them:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from ..common.errors import ClusterError, MigrationError
@@ -57,9 +58,24 @@ def hash_tag(key: KeyLike) -> bytes:
     return raw[start + 1:end]
 
 
-def slot_for_key(key: KeyLike) -> int:
-    """Map a key to its hash slot in [0, NUM_SLOTS)."""
+# Keys repeat heavily under load, and the CRC is pure Python.
+SLOT_MEMO_SIZE = 4096
+
+
+def _slot_uncached(key: KeyLike) -> int:
     return crc16_xmodem(hash_tag(key)) % NUM_SLOTS
+
+
+_slot_memo = lru_cache(maxsize=SLOT_MEMO_SIZE)(_slot_uncached)
+
+
+def slot_for_key(key: KeyLike) -> int:
+    """Map a key to its hash slot in [0, NUM_SLOTS) (memoized for the
+    most recent :data:`SLOT_MEMO_SIZE` hashable keys)."""
+    try:
+        return _slot_memo(key)
+    except TypeError:             # unhashable: bytearray, memoryview
+        return _slot_uncached(key)
 
 
 @dataclass(frozen=True)
@@ -279,6 +295,25 @@ class SlotPlacement:
         """The worker set a split slot's reads may fan over (``None``
         when the slot is not split)."""
         return self._splits.get(slot)
+
+    def core_loads(self, loads: Dict[int, float]) -> List[float]:
+        """Fold per-slot ``loads`` onto the workers: each slot's load
+        lands on its home worker, a split slot's in equal shares over its
+        read fan."""
+        count = self.num_workers
+        per_core = [0.0] * count
+        overrides = self._overrides
+        splits = self._splits
+        for slot, load in loads.items():
+            fan = splits.get(slot)
+            if fan is not None:
+                share = load / len(fan)
+                for worker in fan:
+                    per_core[worker] += share
+            else:
+                home = overrides.get(slot)
+                per_core[home if home is not None else slot % count] += load
+        return per_core
 
     @property
     def overrides(self) -> Dict[int, int]:

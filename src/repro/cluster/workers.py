@@ -55,6 +55,7 @@ its reply flushes at the same instant -- the regression tests pin this.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Tuple
@@ -167,9 +168,11 @@ class RouteMemo:
     def classify(self, request: Any) -> Tuple[Any, bool]:
         """``(routing token, readonly)`` for a parsed request; the token
         is exactly what :func:`classify` returns."""
-        if (not isinstance(request, list) or not request
-                or not all(isinstance(a, bytes) for a in request)):
+        if not isinstance(request, list) or not request:
             return ROUTE_CONTROL, False
+        for arg in request:
+            if not isinstance(arg, bytes):
+                return ROUTE_CONTROL, False
         name = request[0].upper()
         if name in GLOBAL_COMMANDS:
             return ROUTE_BARRIER, False
@@ -294,10 +297,8 @@ class Rebalancer:
         self._last_check = now
         armed = self.imbalanced()
         decay = self.policy.slot_load_decay
-        for slot in self.loads:
-            self.loads[slot] *= decay
-        for slot in self.hot:
-            self.hot[slot] *= decay
+        self.loads = {slot: load * decay for slot, load in self.loads.items()}
+        self.hot = {slot: load * decay for slot, load in self.hot.items()}
         return armed
 
     def imbalanced(self) -> bool:
@@ -313,19 +314,9 @@ class Rebalancer:
     def core_loads(self) -> Optional[List[float]]:
         """Tracked load per core under the current placement (``None``
         when there is nothing to balance)."""
-        count = self.placement.num_workers
-        if count < 2 or not self.loads:
+        if self.placement.num_workers < 2 or not self.loads:
             return None
-        per_core = [0.0] * count
-        for slot, load in self.loads.items():
-            fan = self.placement.split_of_slot(slot)
-            if fan is not None:
-                share = load / len(fan)
-                for worker in fan:
-                    per_core[worker] += share
-            else:
-                per_core[self.placement.worker_of_slot(slot)] += load
-        return per_core
+        return self.placement.core_loads(self.loads)
 
     def apply(self, now: float) -> Optional[RebalanceEvent]:
         """Recompute the placement table (call only at quiescence)."""
@@ -387,18 +378,32 @@ class _WorkerState:
 
 class _ConnState:
     """Per-connection intake bookkeeping, parallel to ``conn.pending``:
-    one ``(arrival time, route, readonly)`` entry per queued request,
+    one ``(arrival time, (route, readonly))`` entry per queued request,
     plus the count of dispatched-but-unflushed commands (replies flush
     only when it returns to zero, preserving RESP reply order -- the
     same FIFO head that keeps split-read routes in order, since a later
     command only dispatches after the head popped and flushes only once
-    every in-flight command on the connection completed)."""
+    every in-flight command on the connection completed).
 
-    __slots__ = ("intake", "outstanding")
+    ``candidates`` caches the head's resolved workers until the head
+    pops or the pool drops its route cache.  ``flush`` is the
+    transport's bound flush, worth calling only while ``unsent`` is
+    truthy: a buffered transport's pending sends, ``True`` for a
+    transport that does not expose them, falsy without a flush.
+    ``index`` is the connection's position in ``server.connections``
+    (-1 while it is not there)."""
 
-    def __init__(self) -> None:
-        self.intake: Deque[Tuple[float, Any, bool]] = deque()
+    __slots__ = ("intake", "outstanding", "candidates", "flush", "unsent",
+                 "index")
+
+    def __init__(self, conn) -> None:
+        self.intake: Deque[Tuple[float, Tuple[Any, bool]]] = deque()
         self.outstanding = 0
+        self.candidates: Optional[Tuple[int, ...]] = None
+        self.flush = getattr(conn.transport, "flush", None)
+        self.unsent = getattr(conn.transport, "unsent", True) \
+            if self.flush is not None else ()
+        self.index = -1
 
 
 class WorkerPool:
@@ -420,7 +425,13 @@ class WorkerPool:
             _WorkerState(clock, self.config) for clock in shard_clock.workers]
         self.server = None
         self.scheduler: Optional[SimClock] = None
-        self._states: Dict[int, _ConnState] = {}   # id(conn) -> state
+        self._states: Dict[Any, _ConnState] = {}   # conn -> state
+        # The states of ``server.connections`` in connection order, the
+        # connection list they were built from (rebuilt on change), and
+        # the sorted ring positions whose intake is not empty.
+        self._ring: List[_ConnState] = []
+        self._ring_conns: List[Any] = []
+        self._occupied: List[int] = []
         self._tick_handle = None
         self._rr_cursor = 0
         self._resize_pending = 0
@@ -435,7 +446,8 @@ class WorkerPool:
         self.rebalancer: Optional[Rebalancer] = None
         self._rebalance_pending = False
         # route token -> candidate workers; stale whenever the worker
-        # count or the placement table changes, so those paths clear it.
+        # count or the placement table changes, so those paths clear it
+        # (with every connection's cached head candidates).
         self._worker_cache: Dict[Tuple[Any, bool], Tuple[int, ...]] = {}
         if self.config.placement is not None:
             self.placement = SlotPlacement(self.config.workers)
@@ -461,14 +473,45 @@ class WorkerPool:
             # now, routed normally.
             while len(state.intake) < len(conn.pending):
                 request = conn.pending[len(state.intake)]
-                route, readonly = self.route_memo.classify(request)
-                state.intake.append((now, route, readonly))
+                state.intake.append((now, self.route_memo.classify(request)))
 
     def _state(self, conn) -> _ConnState:
-        state = self._states.get(id(conn))
+        state = self._states.get(conn)
         if state is None:
-            state = self._states[id(conn)] = _ConnState()
+            state = self._states[conn] = _ConnState(conn)
         return state
+
+    def _sync_ring(self) -> List[_ConnState]:
+        """The per-connection states in ``server.connections`` order (and
+        :attr:`_occupied` to match)."""
+        conns = self.server.connections
+        if self._ring_conns != conns:
+            for state in self._ring:
+                state.index = -1
+            self._ring_conns = list(conns)
+            self._ring = [self._state(conn) for conn in conns]
+            for index, state in enumerate(self._ring):
+                state.index = index
+            self._occupied = [index for index, state in enumerate(self._ring)
+                              if state.intake]
+        return self._ring
+
+    def _pop_head(self, state: _ConnState) -> float:
+        """Drop ``state``'s head entry (its request was dispatched);
+        returns its arrival time."""
+        state.candidates = None
+        state.outstanding += 1
+        arrival = state.intake.popleft()[0]
+        if not state.intake:
+            self._occupied.remove(state.index)
+        return arrival
+
+    def _occupied_from(self, start: int) -> List[int]:
+        """Ring positions with queued heads, in round-robin order from
+        position ``start``."""
+        occupied = self._occupied
+        split = bisect_left(occupied, start)
+        return occupied[split:] + occupied[:split]
 
     # -- intake (called by the server) --------------------------------------
 
@@ -477,10 +520,14 @@ class WorkerPool:
         timestamp them and classify their routes once."""
         now = self.scheduler.now()
         state = self._state(conn)
-        start = len(conn.pending) - count
-        for index in range(start, len(conn.pending)):
-            route, readonly = self.route_memo.classify(conn.pending[index])
-            state.intake.append((now, route, readonly))
+        intake = state.intake
+        was_empty = not intake
+        classify_request = self.route_memo.classify
+        pending = conn.pending
+        for index in range(len(pending) - count, len(pending)):
+            intake.append((now, classify_request(pending[index])))
+        if was_empty and intake and state.index >= 0:
+            insort(self._occupied, state.index)
 
     # -- scheduling ---------------------------------------------------------
 
@@ -514,53 +561,104 @@ class WorkerPool:
             self._worker_cache[key] = cached
         return cached
 
+    def _head_candidates(self, state: _ConnState) -> Tuple[int, ...]:
+        """Resolve (and cache on ``state``) its head's candidates."""
+        state.candidates = self._resolve(*state.intake[0][1])
+        return state.candidates
+
+    def _drop_route_cache(self) -> None:
+        self._worker_cache.clear()
+        for state in self._states.values():
+            state.candidates = None
+
     def _pump(self) -> None:
         """Dispatch every eligible head-of-queue command to a free worker
         (round-robin over connections), then schedule the next tick at
-        the earliest instant a blocked head could run."""
+        the earliest instant a blocked head could run.
+
+        Each pass reads the workers' free times once and scans the
+        connections with queued heads, from the cursor, for the first
+        dispatchable one; the scan restarts after every dispatch and
+        stops as soon as no core is free.  A pass that dispatches nothing
+        has seen every blocked head, so it also yields the follow-up
+        instant."""
         now = self.scheduler.now()
         if (self._resize_pending or self._shed_pending) \
                 and not self._apply_resize(now):
             return                      # re-wakes itself at quiescence
         if self._rebalance_pending and not self._apply_rebalance(now):
             return                      # re-wakes itself at quiescence
-        progress = True
-        while progress:
-            progress = False
-            conns = self.server.connections
-            for offset in range(len(conns)):
-                index = (self._rr_cursor + offset) % len(conns)
-                conn = conns[index]
-                if not conn.pending:
-                    continue
-                state = self._state(conn)
-                _, route, readonly = state.intake[0]
-                candidates = self._resolve(route, readonly)
+        workers = self.workers
+        while True:
+            ring = self._sync_ring()
+            if not self._occupied:
+                return                  # nothing queued: no follow-up
+            count = len(ring)
+            free_at = [worker.clock.now() for worker in workers]
+            if min(free_at) > now:
+                self._wake_at_earliest(ring, free_at)   # no core is free
+                return
+            earliest: Optional[float] = None
+            for index in self._occupied_from(self._rr_cursor % count):
+                state = ring[index]
+                candidates = state.candidates or \
+                    self._head_candidates(state)
                 target = candidates[0]
                 if target == BARRIER:
-                    if any(w.clock.now() > now for w in self.workers):
-                        continue
-                    self._rr_cursor = (index + 1) % len(conns)
-                    self._dispatch_barrier(conn, state, now)
-                    progress = True
-                    break
-                if len(candidates) > 1:
+                    when = max(free_at)
+                    if when <= now:
+                        self._rr_cursor = (index + 1) % count
+                        self._dispatch_barrier(self._ring_conns[index],
+                                               state, now)
+                        break
+                elif len(candidates) > 1:
                     # A split-read fan: any free member may serve it;
                     # prefer the least-busy core so the fan balances.
-                    free = [w for w in candidates
-                            if self.workers[w].clock.now() <= now]
-                    if not free:
-                        continue
-                    target = min(
-                        free, key=lambda w:
-                        (self.workers[w].clock.busy_seconds, w))
-                elif self.workers[target].clock.now() > now:
-                    continue            # that core is mid-service
-                self._rr_cursor = (index + 1) % len(conns)
-                self._dispatch(self.workers[target], target, index, now)
-                progress = True
-                break
-        self._schedule_followup(now)
+                    free = [w for w in candidates if free_at[w] <= now]
+                    if free:
+                        target = min(
+                            free, key=lambda w:
+                            (workers[w].clock.busy_seconds, w))
+                        self._rr_cursor = (index + 1) % count
+                        self._dispatch(workers[target], target, index, now)
+                        break
+                    when = min(free_at[w] for w in candidates)
+                else:
+                    when = free_at[target]
+                    if when <= now:
+                        self._rr_cursor = (index + 1) % count
+                        self._dispatch(workers[target], target, index, now)
+                        break
+                if earliest is None or when < earliest:
+                    earliest = when
+            else:
+                # Nothing dispatched: every queued head is blocked until
+                # ``earliest`` (later than ``now`` by construction).
+                self._wake_at(earliest)
+                return
+
+    def _wake_at_earliest(self, ring: List[_ConnState],
+                          free_at: List[float]) -> None:
+        """Every core is busy: tick again at the earliest instant a
+        queued head could dispatch (its worker's -- or, for a barrier,
+        the slowest worker's -- free time).  No head can beat the first
+        core to free up, so the scan stops at a head that waits for it."""
+        soonest = min(free_at)
+        earliest: Optional[float] = None
+        for index in self._occupied:
+            state = ring[index]
+            candidates = state.candidates or self._head_candidates(state)
+            if candidates[0] == BARRIER:
+                when = max(free_at)
+            elif len(candidates) > 1:
+                when = min(free_at[w] for w in candidates)
+            else:
+                when = free_at[candidates[0]]
+            if earliest is None or when < earliest:
+                earliest = when
+                if when == soonest:
+                    break
+        self._wake_at(earliest)
 
     def _dispatch(self, worker: _WorkerState, target: int,
                   start_index: int, now: float) -> None:
@@ -569,35 +667,40 @@ class WorkerPool:
         one, and execute them back-to-back on its core."""
         limit = worker.batch if self.config.adaptive_batch \
             else self.config.min_batch
-        conns = self.server.connections
-        # (conn, request, arrival, route)
-        batch: List[Tuple[Any, Any, float, Any]] = []
-        while len(batch) < limit:
-            took = False
-            for offset in range(len(conns)):
-                conn = conns[(start_index + offset) % len(conns)]
-                if not conn.pending:
+        ring = self._ring
+        conns = self._ring_conns
+        # (state, conn, request, arrival, route)
+        batch: List[Tuple[_ConnState, Any, Any, float, Any]] = []
+        # One head per connection per round.  A connection that gave
+        # nothing this round has an unchanged head that still is not
+        # routed here, so later rounds revisit only this round's givers.
+        order = self._occupied_from(start_index)
+        while order and len(batch) < limit:
+            givers = []
+            for index in order:
+                state = ring[index]
+                if not state.intake:
                     continue
-                state = self._state(conn)
-                head = state.intake[0]
-                if target not in self._resolve(head[1], head[2]):
+                candidates = state.candidates or \
+                    self._head_candidates(state)
+                if target not in candidates:
                     continue
-                arrival, route, _ = state.intake.popleft()
-                batch.append((conn, conn.pending.popleft(), arrival,
+                route = state.intake[0][1][0]
+                arrival = self._pop_head(state)
+                conn = conns[index]
+                batch.append((state, conn, conn.pending.popleft(), arrival,
                               route))
-                state.outstanding += 1
-                took = True
+                givers.append(index)
                 if len(batch) == limit:
                     break
-            if not took:
-                break
+            order = givers
         self._tune_batch(worker, batch, limit, now)
         worker.clock.idle_until(now)
         if self.config.dispatch_overhead:
             worker.clock.advance(self.config.dispatch_overhead)
         aof = getattr(self.server.store, "aof", None)
         rebalancer = self.rebalancer
-        for conn, request, arrival, route in batch:
+        for _, conn, request, arrival, route in batch:
             self._note_delay(worker, now - arrival)
             began = worker.clock.now()
             written = aof.records_written if aof is not None else 0
@@ -625,9 +728,8 @@ class WorkerPool:
     def _dispatch_barrier(self, conn, state: _ConnState, now: float) -> None:
         """Run a whole-keyspace command: every core stops, the command's
         cost is charged to all of them, replies depart at the frontier."""
-        arrival, _, _ = state.intake.popleft()
+        arrival = self._pop_head(state)
         request = conn.pending.popleft()
-        state.outstanding += 1
         for worker in self.workers:
             worker.clock.idle_until(now)
         self._note_delay(self.workers[0], now - arrival)
@@ -641,7 +743,7 @@ class WorkerPool:
         self.server.loop_iterations += 1
         self.scheduler.schedule_at(
             finish,
-            lambda: self._complete([(conn, request, arrival,
+            lambda: self._complete([(state, conn, request, arrival,
                                      ROUTE_BARRIER)]),
             label="worker-reply")
 
@@ -652,7 +754,7 @@ class WorkerPool:
         if len(batch) == limit:
             # Backlog: the worker filled its budget; give it more.
             worker.batch = min(worker.batch * 2, self.config.max_batch)
-        elif now - batch[0][2] < self.config.batch_low_delay:
+        elif now - batch[0][3] < self.config.batch_low_delay:
             # Queueing delay is low; shed batch budget one step at a
             # time so a burst does not leave B pinned high forever.
             worker.batch = max(worker.batch - 1, self.config.min_batch)
@@ -665,39 +767,17 @@ class WorkerPool:
 
     def _complete(self, batch) -> None:
         """A batch's service time elapsed: its replies (buffered in
-        request order) may now leave the NIC.  A connection flushes only
-        once nothing it sent is still in service."""
-        for conn, _, _, _ in batch:
-            self._state(conn).outstanding -= 1
-        for conn in self.server.connections:
-            if self._state(conn).outstanding:
-                continue
-            flush = getattr(conn.transport, "flush", None)
-            if flush is not None:
-                flush()
-        if any(conn.pending for conn in self.server.connections):
+        request order) may now leave the NIC.  *Every* connection with
+        nothing still in service flushes, in connection order -- not just
+        the batch's own: a MONITOR watcher's feed is buffered on its
+        transport by commands other connections sent."""
+        for entry in batch:
+            entry[0].outstanding -= 1
+        for state in self._sync_ring():
+            if not state.outstanding and state.unsent:
+                state.flush()
+        if self._occupied:
             self.wake()
-
-    def _schedule_followup(self, now: float) -> None:
-        """Blocked heads remain: tick again at the earliest instant one
-        of them could dispatch (its worker's -- or, for a barrier, the
-        slowest worker's -- free time)."""
-        earliest: Optional[float] = None
-        for conn in self.server.connections:
-            if not conn.pending:
-                continue
-            _, route, readonly = self._state(conn).intake[0]
-            candidates = self._resolve(route, readonly)
-            if candidates[0] == BARRIER:
-                when = max(w.clock.now() for w in self.workers)
-            else:
-                when = min(self.workers[w].clock.now()
-                           for w in candidates)
-            when = max(when, now)
-            if earliest is None or when < earliest:
-                earliest = when
-        if earliest is not None:
-            self._wake_at(earliest)
 
     # -- background work (cron) attribution ---------------------------------
 
@@ -775,7 +855,7 @@ class WorkerPool:
         # every cached route resolution is stale.
         if self.placement is not None:
             self.placement.resize(len(self.workers))
-        self._worker_cache.clear()
+        self._drop_route_cache()
         return True
 
     # -- skew-aware rebalancing ---------------------------------------------
@@ -807,7 +887,7 @@ class WorkerPool:
         self._rebalance_pending = False
         if self.rebalancer is not None \
                 and self.rebalancer.apply(now) is not None:
-            self._worker_cache.clear()
+            self._drop_route_cache()
         return True
 
     @property

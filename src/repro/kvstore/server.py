@@ -77,15 +77,16 @@ class BufferedTransport:
 
     def __init__(self, inner) -> None:
         self._inner = inner
-        self._buffer: List[bytes] = []
+        # Sends since the last flush; while empty, flush is a no-op.
+        self.unsent: List[bytes] = []
 
     def send(self, data: bytes) -> None:
-        self._buffer.append(data)
+        self.unsent.append(data)
 
     def flush(self) -> None:
-        if self._buffer:
-            self._inner.send(b"".join(self._buffer))
-            self._buffer.clear()
+        if self.unsent:
+            self._inner.send(b"".join(self.unsent))
+            self.unsent.clear()
 
     def recv_available(self) -> bytes:
         return self._inner.recv_available()

@@ -10,6 +10,15 @@ from ..common.hashing import fnv1a_64
 
 _PRINTABLE = (string.ascii_letters + string.digits).encode("ascii")
 
+# ``rng.choice(_PRINTABLE)`` draws one 32-bit Mersenne word per attempt,
+# keeps its top 6 bits and redraws on 62 or 63.  The top byte of a word
+# determines that choice: this table maps it to the symbol, and the
+# bytes whose top 6 bits are rejected are deleted instead.
+_TOP_BYTE_TO_SYMBOL = bytes(
+    _PRINTABLE[byte >> 2] if byte >> 2 < len(_PRINTABLE) else 0
+    for byte in range(256))
+_REJECTED_TOP_BYTES = bytes(range(len(_PRINTABLE) << 2, 256))
+
 
 def build_key_name(keynum: int, ordered: bool = False) -> str:
     """YCSB's key naming: "user" + fnv64(keynum) (hashed insert order)."""
@@ -29,8 +38,23 @@ class FieldGenerator:
         self.field_names = [f"field{i}" for i in range(field_count)]
 
     def _payload(self) -> bytes:
-        return bytes(self._rng.choice(_PRINTABLE)
-                     for _ in range(self.field_length))
+        """``field_length`` symbols drawn as by ``rng.choice(_PRINTABLE)``
+        per byte -- the same bytes, leaving the same generator state --
+        but in bulk: ``getrandbits(32 * n)`` is ``n`` words, least
+        significant first, so every fourth little-endian byte is one
+        attempt's top byte.  Each word is one attempt, so drawing exactly
+        as many words as bytes are still missing never consumes a word
+        the per-byte draw would not."""
+        payload = b""
+        need = self.field_length
+        while need:
+            words = self._rng.getrandbits(32 * need).to_bytes(4 * need,
+                                                             "little")
+            kept = words[3::4].translate(_TOP_BYTE_TO_SYMBOL,
+                                         _REJECTED_TOP_BYTES)
+            payload += kept
+            need -= len(kept)
+        return payload
 
     def build_values(self) -> Dict[str, bytes]:
         """All fields (insert path)."""

@@ -6,6 +6,8 @@ raise with more cores, adaptive batching, live worker raises, round-robin
 fairness under a flood, and seeded determinism.
 """
 
+import hashlib
+
 import pytest
 
 from repro.cluster import (
@@ -15,9 +17,11 @@ from repro.cluster import (
     build_cluster,
     slot_for_key,
 )
-from repro.cluster.slots import SlotPlacement
+from repro.cluster.slots import SLOT_MEMO_SIZE, SlotPlacement
+from repro.cluster.slots import _slot_memo, _slot_uncached
 from repro.cluster.workers import (
     BARRIER,
+    PlacementPolicy,
     ROUTE_BARRIER,
     ROUTE_CONTROL,
     classify,
@@ -26,6 +30,7 @@ from repro.cluster.workers import (
 )
 from repro.common.clock import ShardClock, SimClock
 from repro.common.errors import ClusterError
+from repro.common.hashing import crc16_xmodem
 from repro.device.append_log import AppendLog
 from repro.device.latency import INTEL_750_SSD
 from repro.kvstore import KeyValueStore, StoreConfig, connect_event
@@ -556,6 +561,150 @@ class TestDeterminism:
         assert report.completed == 300
         assert report.failures == 0
         assert report.max_backlog >= 0
+
+
+class TestMonitorUnderPool:
+    def test_watcher_sees_commands_other_cores_execute_in_order(self):
+        """A MONITOR feed is buffered on the *watcher's* transport by
+        commands other connections run on other cores, so every batch
+        completion must flush every idle connection, not only its own."""
+        server, (watcher, first, second), pool, _ = make_pool_server(
+            workers=4, connections=3)
+        assert watcher.call("MONITOR") == "OK"
+        stream = []
+        watcher.on_raw = stream.append   # MONITOR is a raw text feed
+        keys = [_key_on_worker(worker, 4) for worker in range(4)]
+        for index, key in enumerate(keys):
+            first.send_command("SET", key, f"a{index}")
+            second.send_command("SET", f"{{{key}}}b", f"b{index}")
+        second.send_command("GET", keys[0])
+        server.scheduler.run_until_idle()
+        lines = b"".join(stream).decode().splitlines()
+        commands = [line.split("] ", 1)[1] for line in lines]
+        assert len(commands) == 9
+        sent_by_first = [f'"SET" "{key}" "a{index}"'
+                         for index, key in enumerate(keys)]
+        sent_by_second = [f'"SET" "{{{key}}}b" "b{index}"'
+                          for index, key in enumerate(keys)]
+        sent_by_second.append(f'"GET" "{keys[0]}"')
+        assert [c for c in commands if c in sent_by_first] == sent_by_first
+        assert [c for c in commands if c in sent_by_second] \
+            == sent_by_second
+        # The commands really ran on every core.
+        assert all(worker.commands >= 2 for worker in pool.workers)
+
+
+def _traced(monkeypatch):
+    """Hash every dispatch -- (scheduler time, worker, batch size,
+    connection index) -- and every scheduled event -- (time, label) --
+    of the runs that follow."""
+    dispatches, events = hashlib.sha256(), hashlib.sha256()
+    counts = {"dispatches": 0, "events": 0}
+    dispatch, schedule_at = WorkerPool._dispatch, SimClock.schedule_at
+
+    def traced_dispatch(self, worker, target, start_index, now):
+        before = worker.commands
+        dispatch(self, worker, target, start_index, now)
+        dispatches.update(repr((repr(self.scheduler.now()), target,
+                                worker.commands - before,
+                                start_index)).encode())
+        counts["dispatches"] += 1
+
+    def traced_schedule_at(self, when, callback, *args, **kwargs):
+        events.update(repr((repr(when), kwargs.get("label"))).encode())
+        counts["events"] += 1
+        return schedule_at(self, when, callback, *args, **kwargs)
+
+    monkeypatch.setattr(WorkerPool, "_dispatch", traced_dispatch)
+    monkeypatch.setattr(SimClock, "schedule_at", traced_schedule_at)
+    return dispatches, events, counts
+
+
+class TestGoldenDispatchTrace:
+    """Dispatch order pinned bit-for-bit: round-robin cursor, FIFO heads,
+    least-busy pick within a split fan, the barrier rule, and the number
+    and order of scheduled events.  The hashes were recorded before the
+    pool's scan-free rewrite; any change to the dispatch decisions (not
+    just to the simulated totals) moves them."""
+
+    def test_zipfian_openloop_with_placement(self, monkeypatch):
+        dispatches, events, counts = _traced(monkeypatch)
+        cluster, report = run_openloop(
+            workers=4, clients=16, rate=200_000.0, ops=1500, records=200,
+            seed=7, placement=True, adaptive_batch=True)
+        pool = cluster.nodes[0].pool
+        assert report.completed == 1500
+        assert repr(report.sim_elapsed) == "0.011696535420235948"
+        assert counts == {"dispatches": 804, "events": 8082}
+        assert len(pool.rebalances) == 8
+        assert any(event.split_slots for event in pool.rebalances)
+        assert dispatches.hexdigest() == ("c61826e60610a32f24ede5917083a468"
+                                          "19067c444e71c545c2fe1e91677675e5")
+        assert events.hexdigest() == ("2e18550552b68070ff83d72da3a782f7"
+                                      "20a82f165c174bd8e6d303f40a4983d6")
+
+    def test_pipelined_mix_with_barriers(self, monkeypatch):
+        dispatches, events, counts = _traced(monkeypatch)
+        server, conns, pool, _ = make_pool_server(
+            workers=4, connections=3, adaptive_batch=True,
+            dispatch_overhead=2e-6,
+            placement=PlacementPolicy(rebalance_interval=1e-4))
+        for step in range(60):
+            for index, conn in enumerate(conns):
+                key = f"k{(step * 7 + index) % 13}"
+                if step % 17 == 16 and index == 1:
+                    conn.send_command("DBSIZE")
+                elif step % 11 == 10:
+                    conn.send_command("MSET", key, step, f"z{step}", index)
+                elif step % 3 == 0:
+                    conn.send_command("SET", key, step)
+                elif step % 23 == 5:
+                    conn.send_command("PING")
+                else:
+                    conn.send_command("GET", key)
+            if step % 20 == 19:
+                server.scheduler.run_until_idle()
+        server.scheduler.run_until_idle()
+        replies = hashlib.sha256(
+            repr([list(conn.replies) for conn in conns]).encode())
+        assert counts == {"dispatches": 104, "events": 721}
+        assert pool.barrier_commands == 12
+        assert len(pool.rebalances) == 11
+        assert dispatches.hexdigest() == ("89944ca9fde46462a40907d768be0cef"
+                                          "5a9cf044792f44c4ab4ae19a2f131854")
+        assert events.hexdigest() == ("2c9353e1e5596574b90ef7a9dbf4da0b"
+                                      "f605f89e4bc3d9c6194634ed6def7b13")
+        assert replies.hexdigest() == ("f4dfc1923e420629189b51109cf98e21"
+                                       "7b41f9872d355c0934a697e0335ba24c")
+
+
+class TestSlotMemo:
+    def test_memoized_slot_matches_the_crc(self):
+        keys = ["user:1", b"user:1", "{tag}a", b"{tag}b", "a{tag}",
+                "{}x", b"{", "naïve", b"\xff\x00", ""]
+        for key in keys:
+            raw = key.encode("utf-8") if isinstance(key, str) else key
+            tag = raw
+            if b"{" in raw:
+                start = raw.index(b"{")
+                end = raw.find(b"}", start + 1)
+                if end > start + 1:
+                    tag = raw[start + 1:end]
+            expected = crc16_xmodem(tag) % 16384
+            assert slot_for_key(key) == expected, key
+            assert slot_for_key(key) == _slot_uncached(key)
+        assert slot_for_key("{tag}a") == slot_for_key(b"tag")
+
+    def test_unhashable_keys_bypass_the_memo(self):
+        assert slot_for_key(bytearray(b"user:1")) == slot_for_key(b"user:1")
+        assert slot_for_key(memoryview(b"{t}x")) == slot_for_key(b"t")
+
+    def test_memo_is_bounded(self):
+        for number in range(SLOT_MEMO_SIZE + 500):
+            slot_for_key(f"bounded:{number}")
+        info = _slot_memo.cache_info()
+        assert info.maxsize == SLOT_MEMO_SIZE
+        assert info.currsize <= SLOT_MEMO_SIZE
 
 
 class TestBuildClusterWiring:

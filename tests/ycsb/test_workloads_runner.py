@@ -1,5 +1,8 @@
 """Tests for workload specs, record generation, adapters, and the runner."""
 
+import random
+import string
+
 import pytest
 
 from repro.common.clock import SimClock
@@ -98,6 +101,46 @@ class TestGenerators:
     def test_pack_unpack_fields(self):
         values = {"field0": b"\x00binary\xff", "field1": b""}
         assert unpack_fields(pack_fields(values)) == values
+
+
+PRINTABLE = (string.ascii_letters + string.digits).encode("ascii")
+
+
+def per_byte_payload(rng, length):
+    """The reference draw: one ``rng.choice`` per byte."""
+    return bytes(rng.choice(PRINTABLE) for _ in range(length))
+
+
+class TestBulkPayloadOracle:
+    """``FieldGenerator`` draws payloads in bulk; it must reproduce the
+    per-byte ``rng.choice`` draw exactly -- bytes and generator state --
+    or every stored value (and zlib-compressed tiering size) shifts."""
+
+    @pytest.mark.parametrize("length", [1, 7, 100, 1000])
+    def test_matches_per_byte_choice(self, length):
+        for seed in range(300):
+            gen = FieldGenerator(field_length=length, seed=seed)
+            oracle = random.Random(seed)
+            for _ in range(2):
+                assert gen._payload() == per_byte_payload(oracle, length), \
+                    (seed, length)
+            assert gen._rng.getstate() == oracle.getstate()
+
+    def test_build_update_picks_the_same_field(self):
+        for seed in range(50):
+            gen = FieldGenerator(seed=seed)
+            oracle = random.Random(seed)
+            for _ in range(20):
+                name = gen.field_names[oracle.randrange(gen.field_count)]
+                expected = {name: per_byte_payload(oracle,
+                                                   gen.field_length)}
+                assert gen.build_update() == expected
+            assert gen._rng.getstate() == oracle.getstate()
+
+    def test_empty_field_draws_nothing(self):
+        gen = FieldGenerator(field_length=0, seed=3)
+        assert gen._payload() == b""
+        assert gen._rng.getstate() == random.Random(3).getstate()
 
 
 @pytest.fixture
