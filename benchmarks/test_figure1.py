@@ -7,21 +7,26 @@ Load-E, E, F.
 
 from conftest import OPERATIONS, RECORDS, write_result
 
-from repro.bench.figure1 import figure1_table, run_config, run_figure1
+from repro.bench.calibration import FIGURE1_CONFIGS
+from repro.bench.figure1 import figure1_table, run_config
 
+# One run per configuration, shared by its own test and the shape test.
 _CACHE = {}
 
 
+def _run(config):
+    if config not in _CACHE:
+        _CACHE[config] = run_config(config, RECORDS, OPERATIONS)
+    return _CACHE[config]
+
+
 def _figure1():
-    if "results" not in _CACHE:
-        _CACHE["results"] = run_figure1(record_count=RECORDS,
-                                        operation_count=OPERATIONS)
-    return _CACHE["results"]
+    return {config: _run(config) for config in FIGURE1_CONFIGS}
 
 
 def test_figure1_unmodified_baseline(benchmark):
     cells = benchmark.pedantic(
-        lambda: run_config("unmodified", RECORDS, OPERATIONS),
+        lambda: _run("unmodified"),
         rounds=1, iterations=1)
     by_phase = {cell.phase: cell.throughput for cell in cells}
     benchmark.extra_info.update(
@@ -37,7 +42,7 @@ def test_figure1_unmodified_baseline(benchmark):
 
 def test_figure1_aof_everysec(benchmark):
     cells = benchmark.pedantic(
-        lambda: run_config("aof-everysec", RECORDS, OPERATIONS),
+        lambda: _run("aof-everysec"),
         rounds=1, iterations=1)
     benchmark.extra_info.update(
         {cell.phase: round(cell.throughput, 1) for cell in cells})
@@ -45,7 +50,7 @@ def test_figure1_aof_everysec(benchmark):
 
 def test_figure1_luks_tls(benchmark):
     cells = benchmark.pedantic(
-        lambda: run_config("luks+tls", RECORDS, OPERATIONS),
+        lambda: _run("luks+tls"),
         rounds=1, iterations=1)
     benchmark.extra_info.update(
         {cell.phase: round(cell.throughput, 1) for cell in cells})

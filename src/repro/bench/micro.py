@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Tuple
 from ..common.clock import SimClock
 from ..device.append_log import AppendLog
 from ..device.latency import INTEL_750_SSD
-from ..kvstore.aof import contains_key
+from ..kvstore.aof import aof_mentions
 from ..kvstore.store import KeyValueStore, StoreConfig
 from ..net.channel import Channel, RAW_BANDWIDTH_BPS, loopback
 from ..net.tls import establish_session_pair, stunnel_channel
@@ -175,8 +175,7 @@ def deleted_data_persistence(rewrite_interval: float = 3600.0
     key = b"subject:doomed"
     store.execute("SET", key, b"personal-data")
     store.execute("DEL", key)
-    aof = store.aof_log.read_all()
-    after_delete = contains_key(aof, key)
+    after_delete = aof_mentions(store.aof_log, [key])
     deleted_at = clock.now()
     purged_at: Optional[float] = None
     # Walk simulated time until the periodic rewrite fires.
@@ -184,10 +183,10 @@ def deleted_data_persistence(rewrite_interval: float = 3600.0
     for _ in range(200):
         clock.advance(step)
         store.tick()
-        if not contains_key(store.aof_log.read_all(), key):
+        if not aof_mentions(store.aof_log, [key]):
             purged_at = clock.now()
             break
-    after_rewrite = contains_key(store.aof_log.read_all(), key)
+    after_rewrite = aof_mentions(store.aof_log, [key])
     return PersistenceProbe(
         deleted_key=key,
         in_aof_after_delete=after_delete,

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Set
 
 from ..common.errors import MigrationError
-from ..kvstore.aof import contains_key
+from ..kvstore.aof import aof_mentions
 from .client import command_keys
 from .slots import SlotMap, slot_for_key
 
@@ -476,8 +476,7 @@ class SlotMigrator(_SlotMigrationBase):
         store = self._source_node.store
         if store.aof_log is None or not self._moved:
             return False
-        data = store.aof_log.read_all()
-        return any(contains_key(data, key) for key in self._moved)
+        return aof_mentions(store.aof_log, self._moved)
 
 
 class GDPRSlotMigrator(_SlotMigrationBase):
@@ -667,6 +666,5 @@ class GDPRSlotMigrator(_SlotMigrationBase):
         kv = self._source_shard.kv
         if kv.aof_log is None or not self._moved:
             return False
-        data = kv.aof_log.read_all()
-        return any(contains_key(data, key.encode("utf-8"))
-                   for key in self._moved)
+        return aof_mentions(kv.aof_log,
+                            (key.encode("utf-8") for key in self._moved))

@@ -29,6 +29,7 @@ BLOCK_SIZE = 32          # SHA-256 digest size drives the keystream block.
 NONCE_SIZE = 16
 TAG_SIZE = 32
 KEY_SIZE = 32
+_COUNTER = struct.Struct(">Q")    # big-endian block counter
 
 
 # Overridable entropy hook.  os.urandom nonces make ciphertext -- and
@@ -91,22 +92,24 @@ class StreamCipher:
         if len(nonce) != NONCE_SIZE:
             raise CryptoError(
                 f"nonce must be {NONCE_SIZE} bytes, got {len(nonce)}")
+        # SHA-256(key || nonce || counter): hash the shared prefix once
+        # and extend a copy of that state per block.
+        prefix = hashlib.sha256(self._key + nonce)
         blocks = []
-        needed = length
-        counter = start_block
-        prefix = self._key + nonce
-        while needed > 0:
-            block = hashlib.sha256(
-                prefix + struct.pack(">Q", counter)).digest()
-            blocks.append(block)
-            needed -= BLOCK_SIZE
-            counter += 1
+        for counter in range(start_block,
+                             start_block + -(-length // BLOCK_SIZE)):
+            block = prefix.copy()
+            block.update(_COUNTER.pack(counter))
+            blocks.append(block.digest())
         return b"".join(blocks)[:length]
 
     def transform(self, data: bytes, nonce: bytes) -> bytes:
         """XOR ``data`` with the keystream for ``nonce``."""
-        stream = self.keystream(nonce, len(data))
-        return bytes(a ^ b for a, b in zip(data, stream))
+        length = len(data)
+        stream = self.keystream(nonce, length)
+        return (int.from_bytes(data, "little")
+                ^ int.from_bytes(stream, "little")).to_bytes(length,
+                                                             "little")
 
     encrypt = transform
     decrypt = transform

@@ -22,6 +22,11 @@ class AppendLog:
     """An append-only byte log with buffer / page-cache / durable frontiers.
 
     Invariant: ``durable_length <= cached_length <= total_length``.
+
+    ``epoch`` counts the calls that change or drop bytes already written
+    (:meth:`replace`, :meth:`crash`, :meth:`corrupt_tail`).  While it
+    holds still the log only grows, so a reader that has consumed the
+    first N bytes needs only what lies past N.
     """
 
     def __init__(self, clock: Optional[Clock] = None,
@@ -35,6 +40,7 @@ class AppendLog:
         self._data = bytearray()
         self._cached_length = 0
         self._durable_length = 0
+        self.epoch = 0
         # Counters for benchmarks.
         self.appends = 0
         self.syscalls = 0
@@ -106,6 +112,7 @@ class AppendLog:
         self._data = bytearray(data)
         self._cached_length = len(data)
         self._durable_length = len(data)
+        self.epoch += 1
         self.syscalls += 1
         self.fsyncs += 1
 
@@ -114,6 +121,12 @@ class AppendLog:
     def read_all(self) -> bytes:
         """Everything appended so far (the live file's logical view)."""
         return bytes(self._data)
+
+    def read_from(self, offset: int, size: int = -1) -> bytes:
+        """``size`` bytes from ``offset`` (to the end when ``size < 0``),
+        without copying the rest of the log."""
+        end = len(self._data) if size < 0 else offset + size
+        return bytes(self._data[offset:end])
 
     def read_durable(self) -> bytes:
         """What the file would contain after a power loss."""
@@ -131,6 +144,7 @@ class AppendLog:
         del self._data[frontier:]
         self._cached_length = min(self._cached_length, frontier)
         self._durable_length = min(self._durable_length, frontier)
+        self.epoch += 1
 
     def corrupt_tail(self, nbytes: int) -> None:
         """Flip the final ``nbytes`` (torn-write injection for replay tests)."""
@@ -138,3 +152,4 @@ class AppendLog:
             raise DeviceIOError("corruption span outside file")
         for i in range(len(self._data) - nbytes, len(self._data)):
             self._data[i] ^= 0xFF
+        self.epoch += 1

@@ -19,10 +19,12 @@ Fsync policy (``appendfsync``) reproduces Redis' three settings:
 from __future__ import annotations
 
 import enum
-from typing import List, Optional, Sequence
+import weakref
+from array import array
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..common.clock import Clock
-from ..common.errors import PersistenceError
+from ..common.errors import PersistenceError, ProtocolError
 from ..common.resp import RespDecoder, encode_command
 from ..device.append_log import AppendLog
 
@@ -112,6 +114,23 @@ class AofWriter:
         return (self.log.total_length - self.log.durable_length)
 
 
+def _next_record(decoder: RespDecoder) -> Optional[List[bytes]]:
+    """Pop the next complete command array; ``None`` if more bytes are
+    needed.  Bytes that are structurally invalid raise
+    :class:`PersistenceError`."""
+    try:
+        found, value = decoder.next_value()
+    except Exception as exc:
+        raise PersistenceError(f"corrupt AOF stream: {exc}") from exc
+    if not found:
+        return None
+    if (not isinstance(value, list) or not value
+            or not all(isinstance(a, bytes) for a in value)):
+        raise PersistenceError(
+            f"AOF record is not a command array: {value!r}")
+    return value
+
+
 def replay_commands(data: bytes,
                     tolerate_truncated_tail: bool = True) -> List[List[bytes]]:
     """Decode an AOF byte stream into a list of command argument vectors.
@@ -124,20 +143,11 @@ def replay_commands(data: bytes,
     decoder = RespDecoder()
     decoder.feed(data)
     commands: List[List[bytes]] = []
-    try:
-        while True:
-            found, value = decoder.next_value()
-            if not found:
-                break
-            if (not isinstance(value, list) or not value
-                    or not all(isinstance(a, bytes) for a in value)):
-                raise PersistenceError(
-                    f"AOF record is not a command array: {value!r}")
-            commands.append(value)
-    except PersistenceError:
-        raise
-    except Exception as exc:
-        raise PersistenceError(f"corrupt AOF stream: {exc}") from exc
+    while True:
+        record = _next_record(decoder)
+        if record is None:
+            break
+        commands.append(record)
     if decoder.buffered and not tolerate_truncated_tail:
         raise PersistenceError(
             f"AOF has {decoder.buffered} bytes of truncated tail")
@@ -153,6 +163,94 @@ def contains_key(data: bytes, key: bytes) -> bool:
     """
     for args in replay_commands(data):
         if key in args[1:]:
+            return True
+    return False
+
+
+class _MentionIndex:
+    """What :func:`aof_mentions` knows about one log at one ``epoch``.
+
+    ``first`` maps ``hash(arg)`` to the number of the first record whose
+    ``args[1:]`` holds an argument with that hash; record ``n`` spans
+    bytes ``bounds[n]:bounds[n + 1]`` of the log.  Only ints are kept,
+    never the argument bytes.
+    """
+
+    __slots__ = ("epoch", "fed", "decoder", "first", "bounds", "error")
+
+    def __init__(self, epoch: int) -> None:
+        self.epoch = epoch
+        self.fed = 0                    # log bytes handed to the decoder
+        self.decoder = RespDecoder()
+        self.first: Dict[int, int] = {}
+        self.bounds = array("q", [0])
+        self.error: Optional[str] = None
+
+    def catch_up(self, log: AppendLog) -> None:
+        """Decode the bytes appended since the last call.  A structural
+        error is kept and raised again on every later call, as a full
+        rescan of the same bytes would."""
+        if self.error is None and log.total_length > self.fed:
+            chunk = log.read_from(self.fed)
+            self.fed += len(chunk)
+            decoder = self.decoder
+            decoder.feed(chunk)
+            first, bounds = self.first, self.bounds
+            try:
+                while True:
+                    record = _next_record(decoder)
+                    if record is None:
+                        break
+                    number = len(bounds) - 1
+                    bounds.append(self.fed - decoder.buffered)
+                    for arg in record[1:]:
+                        first.setdefault(hash(arg), number)
+            except PersistenceError as exc:
+                self.error = str(exc)
+        if self.error is not None:
+            raise PersistenceError(self.error)
+
+    def mentions(self, log: AppendLog, key: bytes) -> bool:
+        number = self.first.get(hash(key))
+        if number is None:
+            return False
+        # Confirm on the one record; a hash collision (or a record that
+        # does not decode) falls back to the full rescan.
+        start, end = self.bounds[number], self.bounds[number + 1]
+        decoder = RespDecoder()
+        decoder.feed(log.read_from(start, end - start))
+        try:
+            found, record = decoder.next_value()
+        except (ProtocolError, ValueError):
+            found = False
+        if found and isinstance(record, list) and key in record[1:]:
+            return True
+        return contains_key(log.read_all(), key)
+
+
+_MENTION_INDEXES: "weakref.WeakKeyDictionary[AppendLog, _MentionIndex]" = \
+    weakref.WeakKeyDictionary()
+
+
+def aof_mentions(log: AppendLog, keys: Iterable[bytes]) -> bool:
+    """``any(contains_key(log.read_all(), k) for k in keys)``, exactly --
+    the same answer and the same :class:`PersistenceError` -- at the
+    cost of decoding only the bytes appended since the last call.
+
+    One index per log lives beside it (weakly keyed, so engines need no
+    plumbing).  It is rebuilt from the start when ``log.epoch`` moves
+    (a rewrite, crash or torn write changed bytes already indexed) or
+    when the log is shorter than what the index has read.
+    """
+    index = None
+    for key in keys:
+        if index is None:
+            index = _MENTION_INDEXES.get(log)
+            if (index is None or index.epoch != log.epoch
+                    or log.total_length < index.fed):
+                index = _MENTION_INDEXES[log] = _MentionIndex(log.epoch)
+            index.catch_up(log)
+        if index.mentions(log, key):
             return True
     return False
 

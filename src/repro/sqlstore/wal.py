@@ -11,7 +11,7 @@ mechanics (:class:`~repro.kvstore.aof.AofWriter` over a device-layer
 
 * records are logical statements in RESP frames -- one vocabulary for
   both engines' logs, so cross-engine tooling (the Art. 17 residual
-  check ``contains_key``, crash replay) works on either;
+  check ``aof_mentions``, crash replay) works on either;
 * ``wal_fsync`` maps onto the same always/everysec/no spectrum the
   paper measures for the AOF (``synchronous_commit = on / off`` plus a
   group-commit window);
